@@ -170,12 +170,13 @@ def execute_plan(plan: ExperimentPlan,
         if blob is not None:
             return replay_config(read_trace(blob), plan)
         if plan.shards == 1:
-            # A sharded plan skips trace *recording*: the trace sink
-            # would force every slice onto the slow per-retirement path
-            # (and exclude worker processes), costing far more than the
-            # recorded trace could ever save. Replay above still works —
-            # a trace recorded by any serial run of the same simulation
-            # identity satisfies sharded plans too.
+            # A sharded plan skips trace *recording*: a trace holds the
+            # whole retirement stream in order, in one process, so a
+            # recording run could not hand slices to worker processes —
+            # it would pay the fast-forward pass and still run serially.
+            # Replay above still works — a trace recorded by any serial
+            # run of the same simulation identity satisfies sharded
+            # plans too.
             trace_writer = TraceWriter()
 
     compiled = None

@@ -343,10 +343,10 @@ def run_config(
         if resolved == 1 or not cfg.shardable or trace_writer is not None:
             # Degenerate to the plain serial path: auto-sharding on a
             # single-CPU box, a non-shardable config under auto, or a
-            # trace-recording run. A recorded trace keys on simulation
-            # identity, so slicing it buys nothing (workers are already
-            # excluded) while forcing every slice onto the slow relative
-            # per-retirement path — strictly worse than serial.
+            # trace-recording run. A trace needs the whole retirement
+            # stream in one process, so a recording run cannot use slice
+            # workers; slicing it in-process only adds the fast-forward
+            # pass — strictly worse than serial.
             shards = 1
     if shards != 1:
         result, stats = run_sharded_config(

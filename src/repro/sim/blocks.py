@@ -101,6 +101,18 @@ _PC_ASSIGN = re.compile(r"^\s*m\.pc = ")
 #: A fallback executor call — may set ``m.pc`` internally, so its
 #: presence disables the loop-local PC transform.
 _FALLBACK_CALL = re.compile(r"^\s*_e\d+\(m\)$")
+#: One identifier-like word of generated source.
+_WORD = re.compile(r"\b\w+\b")
+
+
+def _referenced(names, text):
+    """The ``names`` that occur in ``text`` as whole words (``_e1`` does
+    not occur in ``_e12``), in the order of ``names``. One scan serves
+    every name: a regex per name would overflow ``re``'s compile cache
+    on the ~100 bindings of every block."""
+    words = set(_WORD.findall(text))
+    return [name for name in names if name in words]
+
 
 # entry layout (a mutable list, indexed by the run loops):
 # [0] fn        compiled block function (None until first execution on
@@ -421,9 +433,7 @@ class _TranslatorBase:
         body_lines = [line.replace(" + (0) & ", " & ")
                       if " + (0) & " in line else line
                       for line in body_lines]
-        text = "\n".join(body_lines)
-        used = [name for name in namespace
-                if re.search(rf"\b{re.escape(name)}\b", text)]
+        used = _referenced(namespace, "\n".join(body_lines))
         header = f"def _blk({params}"
         if used:
             header += ", " + ", ".join(f"{n}={n}" for n in used)
@@ -1233,3 +1243,55 @@ def run_summary_translated(core, sinks, *, batch_size,
         stderr=bytes(machine.stderr),
         translation=core.translation_stats(),
     )
+
+
+def _events_to_soa(summaries, events, indices, read_ends, write_ends):
+    """Expand a block-summary event flush to the equivalent per-item
+    structure-of-arrays triple (static indices, absolute read ends,
+    absolute write ends). The access streams are shared, so the result
+    plugs straight into ``on_batch``."""
+    ti: list = []
+    re_: list = []
+    we_: list = []
+    tx = ti.extend
+    racc = 0
+    wacc = 0
+    si = 0
+    for i in range(0, len(events), 2):
+        bid = events[i]
+        k = events[i + 1]
+        if bid >= 0:
+            s = summaries[bid]
+            tx(s.idxs * k)
+            R = s.n_reads
+            W = s.n_writes
+            L = s.length
+            if R:
+                rex = re_.extend
+                srel = s.rends_rel
+                b = racc
+                for _ in range(k):
+                    rex([b + e for e in srel])
+                    b += R
+            else:
+                re_.extend([racc] * (k * L))
+            if W:
+                wex = we_.extend
+                srel = s.wends_rel
+                b = wacc
+                for _ in range(k):
+                    wex([b + e for e in srel])
+                    b += W
+            else:
+                we_.extend([wacc] * (k * L))
+            racc += k * R
+            wacc += k * W
+        else:
+            sj = si + k
+            tx(indices[si:sj])
+            re_.extend(read_ends[si:sj])
+            we_.extend(write_ends[si:sj])
+            si = sj
+            racc = read_ends[sj - 1]
+            wacc = write_ends[sj - 1]
+    return ti, re_, we_

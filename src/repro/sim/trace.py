@@ -10,7 +10,7 @@ consumes, and :func:`read_trace` turns the bytes back into a
 :meth:`Trace.iter_batches`, into the fused analysis engine without
 re-simulating (or even re-compiling: the kernel regions ride along).
 
-Format v2 (little-endian):
+Format v3 (little-endian):
 
 * magic ``b"RTRC"``, version u16, ISA name (u8 length + bytes);
 * regions: u16 count, then per region — name (u8 length + bytes),
@@ -25,8 +25,10 @@ Format v2 (little-endian):
 * trailer: u32 0xFFFFFFFF sentinel, u64 total event count.
 
 The columnar blocks serialize and parse as single ``numpy`` buffer
-copies, so recording adds little to a batched run and replay spends its
-time analyzing, not decoding.
+copies, so replay spends its time analyzing, not decoding. Recording
+rides the translator's block-summary event path
+(:meth:`TraceWriter.on_events`): its cost is expanding each flush back
+to per-retirement arrays and packing them, not a slower simulation.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import numpy as np
 
 from repro.common import SimulationError
 from repro.isa.base import DecodedInst, InstructionGroup
+from repro.sim.blocks import _events_to_soa
 
 MAGIC = b"RTRC"
 # v3: instruction fetches no longer appear in the recorded access
@@ -100,14 +103,20 @@ def _pack_block(count, indices, read_ends, write_ends, reads, writes) -> bytes:
 
 
 class TraceWriter:
-    """Batch sink serializing the retirement stream (trace format v2).
+    """Batch sink serializing the retirement stream (trace format v3).
 
     Attach alongside the fused analysis engine on a batched run; call
     :meth:`finish` after the run for the trace bytes. ``isa_name`` and
     ``regions`` may be set any time before ``finish``.
+
+    The writer accepts block-summary events, so a recording run stays on
+    the translator's event path: each event flush is expanded to the
+    per-retirement arrays it stands for and packed exactly as the
+    per-retirement path would pack the same flush.
     """
 
     needs_memory = True
+    accepts_events = True
 
     def __init__(self, isa_name: str = "", regions: Sequence = ()):
         self.isa_name = isa_name
@@ -126,6 +135,12 @@ class TraceWriter:
             _pack_block(count, indices, read_ends, write_ends, reads, writes)
         )
         self.count += count
+
+    def on_events(self, table, summaries, events, count, indices,
+                  read_ends, write_ends, reads, writes) -> None:
+        ti, re_, we_ = _events_to_soa(summaries, events, indices,
+                                      read_ends, write_ends)
+        self.on_batch(table, count, ti, re_, we_, reads, writes)
 
     def finish(self) -> bytes:
         """Serialize header, regions, static table, blocks and trailer."""

@@ -169,24 +169,59 @@ class TestCache:
         assert cache.disk_stats()["entries"] == 0
 
 
+def count_simulations(monkeypatch) -> TimingCollector:
+    """Count the plans every executor in this process simulates.
+
+    Plans may run in forked pool workers (``jobs`` defaults to the core
+    count), where a patched ``execute_plan`` counts into the child's
+    memory. Executor events are emitted in this process whichever path
+    ran the plan, so the count holds on any host shape.
+    """
+    timing = TimingCollector()
+    real_emit = EventBus.emit
+
+    def emit(self, event):
+        timing(event)
+        real_emit(self, event)
+
+    monkeypatch.setattr(EventBus, "emit", emit)
+    return timing
+
+
+def simulated(timing: TimingCollector) -> int:
+    return timing.executed - timing.trace_hits
+
+
 class TestExecutor:
     def test_cache_hit_skips_simulation(self, tmp_path, monkeypatch):
-        calls = []
-
-        def fake_execute(plan, trace_store=None, warm_cache=None):
-            calls.append(plan)
-            return make_result(plan)
-
-        monkeypatch.setattr(executor_mod, "execute_plan", fake_execute)
+        monkeypatch.setattr(
+            executor_mod, "execute_plan",
+            lambda plan, trace_store=None, warm_cache=None: make_result(plan))
+        timing = count_simulations(monkeypatch)
         plans = plan_suite(0.02, workloads=("stream",), windowed=True,
                           window_sizes=(4,))
         cache = ResultCache(tmp_path)
         first = Executor(cache=cache).run(plans)
-        assert len(calls) == 4
+        assert simulated(timing) == 4
 
         second = Executor(cache=ResultCache(tmp_path)).run(plans)
-        assert len(calls) == 4  # zero new simulations
+        assert simulated(timing) == 4  # zero new simulations
+        assert timing.cache_hits == 4
         assert second == first
+
+    def test_cached_runs_take_the_event_path(self, tmp_path):
+        # A result cache records a trace next to every fresh simulation;
+        # the trace writer accepts block-summary events, so recording
+        # must not push the run onto the per-retirement path. The
+        # translation telemetry crosses the worker process boundary.
+        plans = plan_suite(0.02, workloads=("stream", "minisweep"),
+                           windowed=False)
+        results = Executor(jobs=2, cache=ResultCache(tmp_path)).run(plans)
+        assert len(results) == len(plans)
+        for plan, result in results.items():
+            assert result.translation is not None, plan.describe()
+            assert result.translation.get("summary_blocks", 0) > 0, \
+                plan.describe()
 
     def test_events_sequence(self, monkeypatch):
         monkeypatch.setattr(
@@ -304,26 +339,19 @@ class TestCliSubcommands:
         return rc, captured.out, captured.err
 
     def test_run_then_report_from_cache(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        real = executor_mod.execute_plan
-
-        def counting(plan, trace_store=None, warm_cache=None):
-            calls.append(plan)
-            return real(plan, trace_store, warm_cache=warm_cache)
-
-        monkeypatch.setattr(executor_mod, "execute_plan", counting)
+        timing = count_simulations(monkeypatch)
         cache_dir = tmp_path / "cache"
         common = ["--scale", "0.02", "--workloads", "stream",
                   "--windows", "4,16", "--cache-dir", str(cache_dir)]
         rc, out, _err = self._run(["run", *common, "--quiet"], capsys)
         assert rc == 0
         assert "Figure 1" in out and "Table 2" in out
-        assert len(calls) == 4
+        assert simulated(timing) == 4
 
         # second run: all cache hits, zero simulations
         rc, out, err = self._run(["run", *common], capsys)
         assert rc == 0
-        assert len(calls) == 4
+        assert simulated(timing) == 4
         assert "4 cache hits" in err and "0 simulated" in err
 
         # report renders from cache without simulating
@@ -331,7 +359,7 @@ class TestCliSubcommands:
         rc, out, err = self._run(
             ["report", *common, "--out", str(out_dir)], capsys)
         assert rc == 0
-        assert len(calls) == 4
+        assert simulated(timing) == 4
         assert "zero simulations" in err
         for fname in ("kernelCounts.txt", "basicCPResult.txt",
                       "scaledCPResult.txt", "windowAverages.txt"):

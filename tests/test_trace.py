@@ -5,14 +5,15 @@ import io
 import pytest
 
 from repro.analysis import (
+    AnalysisConfig,
     CriticalPathProbe,
     InstructionMixProbe,
     PathLengthProbe,
     WindowedCPProbe,
 )
 from repro.common import SimulationError
-from repro.sim.trace import Trace, TraceRecorderProbe, read_trace
-from repro.workloads import run_workload
+from repro.sim.trace import Trace, TraceRecorderProbe, TraceWriter, read_trace
+from repro.workloads import get_workload, run_workload
 from repro.workloads.stream import Stream, StreamParams
 
 WL = Stream(StreamParams(n=48, ntimes=1))
@@ -112,3 +113,34 @@ class TestErrors:
         trace = read_trace(recorded["blob"])
         with pytest.raises(SimulationError):
             trace.instructions[0].execute(None)
+
+
+class _PerRetirementSink:
+    """A sink without ``accepts_events``: its presence keeps a translated
+    run on the per-retirement batched path."""
+
+    needs_memory = False
+
+    def on_batch(self, *_args) -> None:
+        pass
+
+
+class TestEventPathRecording:
+    @pytest.mark.parametrize("isa", ["rv64", "aarch64"])
+    def test_trace_bytes_match_per_retirement_path(self, isa):
+        workload = get_workload("minisweep", 0.02)
+        compiled = workload.compile(isa, "gcc12")
+        blobs = []
+        summary_blocks = []
+        for extra in ([], [_PerRetirementSink()]):
+            cfg = AnalysisConfig(windowed=True, window_sizes=(4, 16))
+            engine = cfg.build_engine(regions=compiled.image.regions)
+            writer = TraceWriter(compiled.isa_name, compiled.image.regions)
+            run = run_workload(workload, isa, "gcc12", compiled=compiled,
+                               batch_sinks=[engine, writer, *extra])
+            blobs.append(writer.finish())
+            summary_blocks.append(
+                (run.result.translation or {}).get("summary_blocks", 0))
+        assert summary_blocks[0] > 0  # the default run took the event path
+        assert summary_blocks[1] == 0  # the forced run did not
+        assert blobs[0] == blobs[1]

@@ -16,6 +16,14 @@ Before block summaries the fused engine cost ~7× raw translation; the
 summary layer's whole point is closing that gap, so it regressing past
 2.5× fails the build.
 
+It guards the event path of cached runs: one plan through an
+``Executor`` with a result cache (which records a trace next to the
+fresh simulation) must report translate-time block summaries in its
+``translation`` telemetry. A trace sink that stops accepting
+block-summary events pushes every cached run back onto the slower
+per-retirement path without changing a single result; this count is
+what makes that visible, and unlike a timing it cannot flap.
+
 It then runs a fault-injection smoke: the 4-config STREAM matrix across
 a 2-worker pool with one injected worker crash — the resilient executor
 must retry the killed plan and complete the suite (docs/robustness.md).
@@ -139,6 +147,27 @@ def _best_ratio_pair(compiled, isa) -> tuple[float, float, float]:
         if best_r is None or analyzed / trans < best_r:
             best_r = analyzed / trans
     return best_t, best_a, best_r
+
+
+def _event_path_smoke() -> int:
+    """A cached (trace-recording) run must stay on the event path."""
+    import tempfile
+
+    from repro.harness import Executor, ResultCache, plan_suite
+
+    plan = plan_suite(SCALE, workloads=("stream",), windowed=False)[0]
+    with tempfile.TemporaryDirectory() as root:
+        results = Executor(cache=ResultCache(root)).run([plan])
+    summary_blocks = (results[plan].translation or {}).get(
+        "summary_blocks", 0)
+    if not summary_blocks:
+        print(f"FAIL: cached run of {plan.describe()} reported no "
+              f"block summaries — trace recording has pushed it off "
+              f"the block-summary event path", file=sys.stderr)
+        return 1
+    print(f"OK: cached run stayed on the event path "
+          f"({summary_blocks} block summaries)")
+    return 0
 
 
 def _fault_smoke() -> int:
@@ -561,7 +590,8 @@ def main() -> int:
         return 1
     print(f"OK: fused analysis within {ANALYZED_MAX_RATIO}x of raw "
           f"translation")
-    return _fault_smoke() or _shard_smoke() or _warm_smoke()
+    return (_event_path_smoke() or _fault_smoke() or _shard_smoke()
+            or _warm_smoke())
 
 
 if __name__ == "__main__":
