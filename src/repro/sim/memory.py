@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
 from repro.common import SimulationError
 
 _F64 = struct.Struct("<d")
@@ -117,14 +119,27 @@ class Memory:
             raise SimulationError(
                 f"shadow size {len(shadow)} != memory size {self.size}")
         data = self.data
-        pages: dict[int, bytes] = {}
-        view_d = memoryview(data)
-        view_s = memoryview(shadow)
-        for off in range(0, self.size, page_size):
-            end = min(off + page_size, self.size)
-            if view_d[off:end] != view_s[off:end]:
-                pages[off // page_size] = bytes(view_d[off:end])
-        return pages
+        # Compare all whole pages in one vectorized pass (a per-page
+        # memoryview comparison goes element by element); the partial
+        # tail page, if any, is compared directly.
+        whole = self.size // page_size
+        changed = []
+        if whole:
+            span = whole * page_size
+            word = 8 if page_size % 8 == 0 else 1
+            dtype = np.uint64 if word == 8 else np.uint8
+            cur = np.frombuffer(data, dtype=dtype, count=span // word)
+            base = np.frombuffer(shadow, dtype=dtype, count=span // word)
+            changed = np.flatnonzero(
+                (cur != base).reshape(whole, page_size // word).any(axis=1)
+            ).tolist()
+            del cur, base
+        tail = whole * page_size
+        if tail < self.size and data[tail:] != shadow[tail:]:
+            changed.append(whole)
+        return {index: bytes(data[index * page_size:
+                                  min((index + 1) * page_size, self.size)])
+                for index in changed}
 
     def apply_pages(self, pages: dict[int, bytes],
                     page_size: int = 4096) -> None:

@@ -36,6 +36,7 @@ from repro.analysis import (
     PathLengthProbe,
     WindowedCPProbe,
 )
+from repro.analysis.engine import _RelAcc
 from repro.common.errors import ExperimentError
 from repro.compiler import compile_source
 from repro.harness.cache import ResultCache
@@ -45,6 +46,7 @@ from repro.isa import get_isa
 from repro.sim import run_image
 from repro.sim.config import load_core_model
 from repro.workloads import ALL_WORKLOADS, get_workload
+from repro.workloads.stream import Stream, StreamParams
 
 SCALE = 0.02
 WINDOWS = (4, 16)
@@ -246,6 +248,28 @@ def test_relative_state_has_no_absolute_results():
     assert state.relative
     with pytest.raises(RuntimeError, match="relative"):
         state.results()
+
+
+def test_relative_chain_updates_in_place_and_clones_stay_isolated():
+    # A relative engine keeps a long register chain (STREAM's checksum
+    # reductions over cells the slice has not seen written) as one
+    # accumulator updated in place. A state taken mid-slice — every
+    # merge clones — must not see the batches fed after it.
+    compiled = Stream(StreamParams(n=600, ntimes=1)).compile("rv64", "gcc12")
+    recorder = _record(compiled)
+    n = len(recorder.batches)
+    split, mid = n // 2, (5 * n) // 6
+    prefix = _feed(_engine(compiled), recorder, 0, split)
+    engine = _engine(compiled, relative=True)
+    _feed(engine, recorder, split, mid)
+    assert any(isinstance(v, _RelAcc) for v in engine._reg_p), \
+        "no in-place chain accumulator at the clone point"
+    early = AnalysisState(engine.clone())
+    _feed(engine, recorder, mid, n)
+    assert (prefix.merge(early).results().to_dict()
+            == _feed(_engine(compiled), recorder, 0, mid).results().to_dict())
+    assert (prefix.merge(engine.state()).results().to_dict()
+            == _serial_result(compiled))
 
 
 # ------------------------------------------------ typed config surface

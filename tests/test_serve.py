@@ -192,8 +192,11 @@ class TestAdmission:
     """Admission-control paths, with no dispatcher draining the queue
     (``_running`` forced on) so queue occupancy is deterministic."""
 
-    def test_quota_429_with_retry_after(self, make_app):
-        app = make_app(client_quota=1, queue_limit=8)
+    def test_quota_429_with_retry_after(self, make_app, tmp_path):
+        # own cache: the admitted job is never dispatched, so its
+        # admission-time journal stays unfinished by design
+        app = make_app(cache_dir=tmp_path / "cache", client_quota=1,
+                       queue_limit=8)
         app._running = True
         status, _body, _h = app.submit(
             {"params": {"scale": 0.1}, "client": "t"})
@@ -218,8 +221,9 @@ class TestAdmission:
         assert sorted(first.artifacts) == [
             "basicCPResult.txt", "kernelCounts.txt", "scaledCPResult.txt"]
 
-    def test_identical_submissions_coalesce(self, make_app):
-        app = make_app(queue_limit=8)
+    def test_identical_submissions_coalesce(self, make_app, tmp_path):
+        # own cache: the coalesced job is never dispatched
+        app = make_app(cache_dir=tmp_path / "cache", queue_limit=8)
         app._running = True
         status, body, _h = app.submit({"params": PARAMS, "client": "a"})
         assert status == 202
