@@ -31,7 +31,6 @@ from repro.analysis.engine import (
     AnalysisResult,
     AnalysisState,
     FusedAnalysisEngine,
-    FusedResults,
 )
 from repro.analysis.pathlength import PathLengthProbe, PathLengthResult
 from repro.analysis.critpath import (
@@ -51,7 +50,6 @@ __all__ = [
     "BlockSummary",
     "build_summary",
     "FusedAnalysisEngine",
-    "FusedResults",
     "PathLengthProbe",
     "PathLengthResult",
     "CriticalPathProbe",

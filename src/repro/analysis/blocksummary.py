@@ -33,10 +33,6 @@ from repro.analysis.critpath import _MEM_BASE, mem_cells
 
 __all__ = ["BlockSummary", "build_summary"]
 
-#: Composite window-item key layout; must match repro.analysis.engine.
-_IDX_SHIFT = 24
-_RC_SHIFT = 12
-
 #: Generated chain-stitch source -> code object (sources are
 #: deterministic per block content, so repeated runs and the many
 #: configurations over one binary share compiles).
@@ -45,7 +41,7 @@ _CP_CODE_CACHE: dict = {}
 #: Bump whenever the generated chain-stitch source shape changes; part
 #: of the persistent block-cache key (stale on-disk sources orphan
 #: instead of preloading).
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 #: Chain-stitch compile-cache telemetry (mirrors
 #: :data:`repro.sim.blocks._CODE_STATS`).
@@ -110,8 +106,7 @@ class BlockSummary:
 
     __slots__ = (
         "length", "idxs", "deps", "rcounts", "wcounts", "rsizes", "wsizes",
-        "n_reads", "n_writes", "keys", "rends_rel", "wends_rel",
-        "rends_np", "wends_np", "_cp_fns",
+        "n_reads", "n_writes", "rends_rel", "wends_rel", "items", "_cp_fns",
     )
 
     def __init__(self, insts, idxs, roffs, woffs, rsizes, wsizes):
@@ -137,17 +132,13 @@ class BlockSummary:
         self.wsizes = tuple(wsizes)
         self.n_reads = roffs[-1] if roffs else 0
         self.n_writes = woffs[-1] if woffs else 0
-        #: per-item composite window keys (valid when no access spans an
-        #: 8-byte cell; spanning flushes bypass the summary window path)
-        self.keys = tuple(
-            (idx << _IDX_SHIFT) | (rc << _RC_SHIFT) | wc
-            for idx, rc, wc in zip(self.idxs, rcounts, wcounts)
-        )
         #: per-instruction cumulative access ends within one execution
         self.rends_rel = tuple(roffs)
         self.wends_rel = tuple(woffs)
-        self.rends_np = np.array(roffs, dtype=np.int64)
-        self.wends_np = np.array(woffs, dtype=np.int64)
+        #: one execution's window items: rows of static indices, read
+        #: access counts and write access counts
+        self.items = np.array([self.idxs, rcounts, wcounts], dtype=np.int64)
+        self.items.flags.writeable = False
         self._cp_fns: dict = {}
 
     def cp_fn(self, weights: tuple, break_on_zero: bool):
@@ -156,12 +147,11 @@ class BlockSummary:
         Signature of the returned function::
 
             fn(k, reads, writes, r, w, rp, rs, mp, ms, bp, bs)
-                -> (best_plain, best_scaled, spanned)
+                -> (best_plain, best_scaled)
 
         ``r``/``w`` index the first of this block's accesses in the
         flush's flat ``reads``/``writes`` lists; the caller advances its
         cursors by ``k * n_reads`` / ``k * n_writes`` afterwards.
-        ``spanned`` is 1 when any access crossed an 8-byte cell.
         """
         key = (weights, break_on_zero)
         fn = self._cp_fns.get(key)
@@ -233,7 +223,7 @@ def _cp_source(summary: BlockSummary, weights: tuple,
     def reg_s(t):
         return f"h{t}" if t in written else f"q{t}"
 
-    head = ["sp = 0"]
+    head = []
     if summary.n_reads:
         head.append("mpg = mp.get")
         head.append("msg = ms.get")
@@ -295,7 +285,6 @@ def _cp_source(summary: BlockSummary, weights: tuple,
                 if guard is not None:
                     body.append(guard)
                     pre = "    "
-                body.append(f"{pre}sp = 1")
                 body.append(f"{pre}for _c in _mc(a{ri}, {size})[1:]:")
                 body.append(f"{pre}    _v = mpg(_c, 0)")
                 body.append(f"{pre}    if _v > t{ri}: t{ri} = _v")
@@ -349,7 +338,6 @@ def _cp_source(summary: BlockSummary, weights: tuple,
                 if guard is not None:
                     body.append(guard)
                     pre = "    "
-                body.append(f"{pre}sp = 1")
                 body.append(f"{pre}for _c in _mc(aw{wi}, {size})[1:]:")
                 body.append(f"{pre}    mp[_c] = d{i}")
                 body.append(f"{pre}    ms[_c] = e{i}")
@@ -373,7 +361,7 @@ def _cp_source(summary: BlockSummary, weights: tuple,
     for t in sorted(written):
         tail.append(f"rp[{t}] = g{t}")
         tail.append(f"rs[{t}] = h{t}")
-    tail.append("return bp, bs, sp")
+    tail.append("return bp, bs")
 
     lines = ["def _cps(k, reads, writes, r, w, rp, rs, mp, ms, bp, bs):"]
     lines.extend("    " + line for line in head)

@@ -17,20 +17,14 @@ instruction mix, and all windowed-CP sizes — in one pass:
   result dicts preserve the legacy probes' insertion order);
 * the plain and scaled critical paths share one loop over the batch —
   one source scan updates both depth structures;
-* windowed CPs are memoized: a window's critical path depends only on
-  its sequence of (static entry, cell-count) items and the *relative*
-  alias pattern of its memory cells, which loops repeat almost exactly.
-  The memo key is built from C-speed list slices (composite item keys
-  plus cell-to-cell deltas), so repeated loop windows cost a tuple hash
-  instead of a full dependence-graph walk. Hit rates on the paper
-  workloads are ~99.9%.
-* on top of the per-window memo there is a *batch-level* memo: the
-  translated batched core flushes at block boundaries, so during a
-  steady loop successive batches are byte-for-byte repeats (same length,
-  same loop phase) whose cell streams advance uniformly. A
-  translation-invariant signature over the batch plus the carried-over
-  window tail replays the whole batch's per-window results — hundreds of
-  windows — with one tuple hash.
+* windowed CPs are one vectorized computation: a window's critical
+  path depends only on each item's *in-window producers* (the last
+  earlier writer of every register source and read memory cell). Window
+  items buffer as numpy chunks; a consume links every buffered item to
+  its producers with one sort and one ``searchsorted``, then evaluates
+  every complete window of every size in a single wavefront whose step
+  ``j`` advances all windows longer than ``j`` at once (see
+  :func:`_wavefront`).
 
 Results are exactly equal — field by field, including dict insertion
 order — to the legacy probes'; ``tests/test_fused_engine.py`` enforces
@@ -40,6 +34,7 @@ this differentially on random programs and on every workload.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -62,17 +57,18 @@ if TYPE_CHECKING:
 #: Memory dep-ids live above the register ids (see repro.analysis.critpath).
 _MEM_BASE = NUM_DEP_REGS
 
-#: Composite item key: ``static_index << 24 | read_cells << 12 | write_cells``.
-#: Cell counts are post-expansion (an access spanning k 8-byte cells counts
-#: k), so equal keys imply identical per-item dependence arity.
-_IDX_SHIFT = 24
-_RC_SHIFT = 12
-_CNT_MASK = 0xFFF
+#: An absolute engine consumes its buffered window items once this many
+#: new ones are pending. A consume costs ``max(window size)`` numpy
+#: steps whatever its length, so the chunk amortizes them; it also
+#: bounds the buffer at this plus the largest window. Replaying the 20
+#: matrix traces with seven windows took the same time at 2**16, 2**17,
+#: 2**18 and 2**19 (within run-to-run noise) while peak RSS grew with
+#: the chunk, so the smallest was kept.
+_CONSUME_ITEMS = 1 << 16
 
-#: Stop growing the window memo once it holds this many window *items*
-#: (not entries — a W=2000 key is 500x a W=4 key). Existing entries keep
-#: serving hits; new misses are simply computed directly.
-_MEMO_MAX_ITEMS = 4_000_000
+#: Window entries per block of precomputed gather indices in
+#: :func:`_wavefront` (bounds its temporaries).
+_WAVE_BLOCK = 1 << 16
 
 
 #: Bump when the serialized shape of :class:`AnalysisResult` changes.
@@ -80,7 +76,7 @@ ANALYSIS_SCHEMA = 1
 
 #: Bump when the serialized shape of an engine *state* document
 #: (:meth:`FusedAnalysisEngine.state_doc`) changes.
-STATE_SCHEMA = 1
+STATE_SCHEMA = 2
 
 
 class _InstMeta:
@@ -159,10 +155,6 @@ class AnalysisResult:
                       for w, r in windowed.items()}
             ),
         )
-
-
-#: Pre-redesign name, kept for one release.
-FusedResults = AnalysisResult
 
 
 class _WState:
@@ -312,6 +304,159 @@ class _RelAcc:
         self.shift = sh + wt
 
 
+# ------------------------------------------------ windowed critical path
+#
+# A window's critical path depends only on each item's *in-window
+# producers*: the last earlier writer of each of its register sources
+# and read memory cells, if that writer lies inside the window. Item
+# ``p`` with producer distances ``delta`` then has, in the window that
+# starts at ``s``, depth ``1 + max(depth[p - delta])`` over the
+# distances with ``p - delta >= s`` — the exact recurrence of
+# ``window_critical_path`` on the legacy probe's dependence tuples.
+
+
+def _access_array(accesses):
+    """``[(addr, size), ...]`` as an ``(n, 2)`` int64 array."""
+    return np.fromiter(chain.from_iterable(accesses), np.int64,
+                       2 * len(accesses)).reshape(-1, 2)
+
+
+def _soa_items(indices, read_ends, write_ends, r0=0, w0=0) -> np.ndarray:
+    """Window items of a structure-of-arrays run: rows of static
+    indices, read access counts and write access counts (the run's
+    access cursors start at ``r0``/``w0``)."""
+    n = len(indices)
+    items = np.vstack([np.fromiter(column, np.int64, n)
+                       for column in (indices, read_ends, write_ends)])
+    items[1:] = np.diff(items[1:], axis=1, prepend=((r0,), (w0,)))
+    return items
+
+
+def _pad_rows(rows) -> np.ndarray:
+    """Ragged dep-id tuples as one ``-1``-padded int64 table."""
+    width = max(map(len, rows), default=0)
+    table = np.full((len(rows), width), -1, dtype=np.int64)
+    for j, row in enumerate(rows):
+        table[j, :len(row)] = row
+    return table
+
+
+def _access_cells(counts, accesses):
+    """Expand accesses to their 8-byte cells (as ``mem_cells`` does,
+    without the dep-id offset): ``(cells, owning item per cell)``."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    addr = accesses[:, 0]
+    first = addr >> 3
+    ncells = ((addr + accesses[:, 1] - 1) >> 3) - first + 1
+    if (ncells == 1).all():
+        return first, owner
+    ends = np.cumsum(ncells)
+    cells = np.repeat(first - (ends - ncells), ncells) + np.arange(
+        int(ends[-1]), dtype=np.int64)
+    return cells, np.repeat(owner, ncells)
+
+
+def _producer_deltas(items, reads, writes, tables, horizon):
+    """Producer distances of every buffered item, shape ``(n, K)``.
+
+    Entry ``[p, k]`` is ``p - q`` for the k-th producer ``q`` of item
+    ``p`` (the last writer strictly before ``p`` of one of its register
+    sources or read cells); ``horizon`` marks none. Distances of
+    ``horizon`` or more are dropped — no window that long is evaluated —
+    and each row is sorted, so ``K`` is the most producers any item has
+    within the horizon. Producers before the buffer are never needed:
+    every window still to come starts inside it.
+    """
+    srcs_t, dsts_t = tables
+    idx = items[0]
+    n = len(idx)
+    span = n + 1
+    rcell, rown = _access_cells(items[1], reads)
+    wcell, wown = _access_cells(items[2], writes)
+    # dense dep ids: registers keep theirs, written cells follow them
+    cells = np.unique(wcell)
+    dsts = dsts_t[idx]
+    wpos, wcol = np.nonzero(dsts >= 0)
+    wkey = np.sort(np.concatenate((
+        dsts[wpos, wcol] * span + wpos,
+        (np.searchsorted(cells, wcell) + _MEM_BASE) * span + wown)))
+    srcs = srcs_t[idx]
+    rpos, rcol = np.nonzero(srcs >= 0)
+    rdep = srcs[rpos, rcol]
+    if len(cells):
+        slot = np.minimum(np.searchsorted(cells, rcell), len(cells) - 1)
+        hit = cells[slot] == rcell
+        # column of each read cell: after the item's register sources
+        per_item = np.bincount(rown, minlength=n)
+        col = (np.arange(len(rcell)) - (np.cumsum(per_item) - per_item)[rown]
+               + (srcs >= 0).sum(axis=1)[rown])
+        rpos = np.concatenate((rpos, rown[hit]))
+        rcol = np.concatenate((rcol, col[hit]))
+        rdep = np.concatenate((rdep, slot[hit] + _MEM_BASE))
+    found = np.searchsorted(wkey, rdep * span + rpos) - 1
+    wk = wkey[np.maximum(found, 0)] if len(wkey) else found
+    delta = rpos - wk % span
+    ok = (found >= 0) & (wk // span == rdep) & (delta < horizon)
+    width = int(rcol.max()) + 1 if len(rcol) else 1
+    deltas = np.full((n, width), horizon, dtype=np.int64)
+    deltas[rpos[ok], rcol[ok]] = delta[ok]
+    deltas.sort(axis=1)
+    keep = int((deltas < horizon).sum(axis=1).max(initial=1))
+    return deltas[:, :keep]
+
+
+def _wavefront(deltas, starts, lens) -> np.ndarray:
+    """Critical path of every window row ``m`` (items ``starts[m]`` ...
+    ``starts[m] + lens[m] - 1``); rows sorted by length, longest first.
+
+    Step ``j`` computes item ``j`` of every window longer than ``j`` —
+    a prefix of the rows — so the whole batch costs ``max(lens)`` numpy
+    steps. Depths live step-major in one flat array: step ``j`` occupies
+    ``a_j`` slots from ``at[j + 1]`` (``a_j`` rows are active), and slots
+    ``[0, m)`` are zeros that a row's out-of-window producers resolve
+    to. Between two row lengths ``a_j`` is constant, so each run of up
+    to :data:`_WAVE_BLOCK` entries there is a ``(steps, rows)`` grid
+    whose gather indices are precomputed in one pass.
+    """
+    m = len(starts)
+    steps = int(lens[0])
+    active = np.searchsorted(-lens, -np.arange(steps))
+    at = np.zeros(steps + 2, dtype=np.int64)
+    at[1] = m
+    np.cumsum(active, out=at[2:])
+    at[2:] += m
+    depth = np.zeros(int(at[-1]), dtype=np.int32)
+    cps = np.zeros(m, dtype=np.int32)
+    cols = [np.ascontiguousarray(deltas[:, k])
+            for k in range(deltas.shape[1])]
+    edges = [0, *(np.flatnonzero(np.diff(active)) + 1).tolist(), steps]
+    for p0, p1 in zip(edges[:-1], edges[1:]):
+        a = int(active[p0])
+        rows = np.arange(a)
+        before = starts[:a] - 1
+        per = max(1, _WAVE_BLOCK // a)
+        for j0 in range(p0, p1, per):
+            j1 = min(j0 + per, p1)
+            step1 = np.arange(j0 + 1, j1 + 1)[:, None]
+            gathers = []
+            for col in cols:
+                back = step1 - col.take(before + step1)
+                np.maximum(back, 0, out=back)
+                g = at.take(back)
+                g += rows
+                gathers.append(g)
+            lo = int(at[j0 + 1])
+            for s in range(j1 - j0):
+                d = depth.take(gathers[0][s])
+                for g in gathers[1:]:
+                    np.maximum(d, depth.take(g[s]), out=d)
+                d += 1
+                depth[lo + s * a:lo + (s + 1) * a] = d
+            grid = depth[lo:lo + (j1 - j0) * a].reshape(j1 - j0, a)
+            np.maximum(cps[:a], grid.max(axis=0), out=cps[:a])
+    return cps
+
+
 class FusedAnalysisEngine:
     """Batch sink computing all paper analyses in a single fused pass.
 
@@ -404,34 +549,18 @@ class FusedAnalysisEngine:
         self._lazy_p: list = []
         self._lazy_s: list = []
 
-        # windowed state: rolling item/cell buffers with global offsets
+        # windowed state: window items not yet consumed, as numpy chunks
+        # ``(items, reads, writes)`` — ``items`` rows are static index,
+        # read access count and write access count per retirement, the
+        # access arrays ``(addr, size)`` rows
         self._wstates = [
             _WState(size, slide_fraction, keep_cps) for size in window_sizes
         ] if windowed else []
-        #: Flush granularity hint for ``run_image(batch_size=None)``.
-        #: Windowed runs want small flushes (the window memo keys on
-        #: whole flush segments, and large segments kill its hit rate);
-        #: without windows, bigger flushes just amortize per-flush cost.
-        self.preferred_batch_size = 1024 if windowed else 4096
-        self._keys: list[int] = []
-        self._key_base = 0
-        self._rcells: list[int] = []
-        self._rdeltas: list[int] = []
-        self._wcells: list[int] = []
-        self._wdeltas: list[int] = []
-        self._rends: list[int] = []   # per-item global read-cell ends
-        self._wends: list[int] = []
-        self._rc_base = 0
-        self._wc_base = 0
-        self._prev_rcell = 0
-        self._prev_wcell = 0
-        self._memo: dict = {}
-        self._memo_items = 0
-        self.memo_hits = 0
-        self.memo_misses = 0
-        self._batch_memo: dict = {}
-        self.batch_memo_hits = 0
-        self.batch_memo_misses = 0
+        self._wchunks: list[tuple] = []
+        self._wbase = 0     # global index of the first buffered item
+        self._wcount = 0    # buffered items
+        self._wfresh = 0    # items buffered since the last consume
+        self._wtables = None  # padded (srcs, dsts) numpy tables
         self._count_cache: dict = {}
 
     # -- batch ingestion -------------------------------------------------
@@ -463,12 +592,8 @@ class FusedAnalysisEngine:
         else:
             self._cp_batch(indices, read_ends, write_ends, reads, writes)
         if self._wstates:
-            if self._relative:
-                self._window_extend_relative(ti, count, read_ends,
-                                             write_ends, reads, writes)
-            else:
-                self._window_batch(ti, count, read_ends, write_ends,
-                                   reads, writes)
+            self._window_extend(_soa_items(ti, read_ends, write_ends),
+                                reads, writes)
 
     def _ensure_meta(self, table) -> None:
         srcs_t = self._srcs
@@ -529,7 +654,7 @@ class FusedAnalysisEngine:
         mem_p = self._mem_p
         mem_s = self._mem_s
         windowed = bool(self._wstates)
-        spanning = False
+        parts = []
         r = 0
         w = 0
         si = 0
@@ -540,32 +665,27 @@ class FusedAnalysisEngine:
                 be[bid] = be.get(bid, 0) + k
                 s = summaries[bid]
                 fn = s.cp_fn(wts, bz)
-                bp, bs, sp = fn(k, reads, writes, r, w, reg_p, reg_s,
-                                mem_p, mem_s, self._best_p, self._best_s)
-                self._best_p = bp
-                self._best_s = bs
-                if sp:
-                    spanning = True
+                self._best_p, self._best_s = fn(
+                    k, reads, writes, r, w, reg_p, reg_s, mem_p, mem_s,
+                    self._best_p, self._best_s)
                 r += k * s.n_reads
                 w += k * s.n_writes
+                if windowed:
+                    parts.append(np.tile(s.items, k))
             else:
                 sj = si + k
-                r1 = read_ends[sj - 1]
-                w1 = write_ends[sj - 1]
                 self._cp_batch(indices[si:sj], read_ends[si:sj],
                                write_ends[si:sj], reads, writes,
                                r0=r, w0=w)
-                if windowed and not spanning:
-                    if (any((a & 7) + z > 8 for a, z in reads[r:r1])
-                            or any((a & 7) + z > 8
-                                   for a, z in writes[w:w1])):
-                        spanning = True
-                r = r1
-                w = w1
+                if windowed:
+                    parts.append(_soa_items(indices[si:sj], read_ends[si:sj],
+                                            write_ends[si:sj], r, w))
+                r = read_ends[sj - 1]
+                w = write_ends[sj - 1]
                 si = sj
         if windowed:
-            self._window_events(summaries, events, indices, read_ends,
-                                write_ends, reads, writes, count, spanning)
+            self._window_extend(np.concatenate(parts, axis=1), reads,
+                                writes)
 
     def _flatten_counts(self) -> None:
         """Fold pending block execution counters into the count vector."""
@@ -816,604 +936,97 @@ class FusedAnalysisEngine:
 
     # -- windowed critical paths -----------------------------------------
 
-    @staticmethod
-    def _expand_cells(accesses, n, ends):
-        """Flat 8-byte-cell ids for a batch's accesses plus per-item
-        cumulative cell ends. The common no-spanning case is one cell per
-        access; spanning accesses expand to their full cell range."""
-        if n == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(len(ends),
-                                                         dtype=np.int64)
-        acc = np.array(accesses, dtype=np.int64)
-        addr = acc[:, 0]
-        first = addr >> 3
-        extra = ((addr & 7) + acc[:, 1] - 1) >> 3
-        if not extra.any():
-            return first, ends
-        cnts = extra + 1
-        cum = np.cumsum(cnts)
-        starts = cum - cnts
-        total = int(cum[-1])
-        cells = np.repeat(first, cnts) + (
-            np.arange(total, dtype=np.int64) - np.repeat(starts, cnts))
-        item_ends = np.where(ends > 0, cum[ends - 1], 0)
-        return cells, item_ends
+    def _window_extend(self, items, reads, writes) -> None:
+        """Buffer one flush's window items; an absolute engine consumes
+        once :data:`_CONSUME_ITEMS` new items are pending. Relative
+        engines only buffer: their windows reach back across the shard
+        boundary, so they are consumed after the merge."""
+        self._wchunks.append((items, _access_array(reads),
+                              _access_array(writes)))
+        n = items.shape[1]
+        self._wcount += n
+        self._wfresh += n
+        if not self._relative and self._wfresh >= _CONSUME_ITEMS:
+            self._consume_windows()
 
-    @staticmethod
-    def _cell_deltas(cells, prev):
-        out = []
-        append = out.append
-        for c in cells:
-            append(c - prev)
-            prev = c
-        return out
-
-    def _window_batch(self, ti, count, read_ends, write_ends,
-                      reads, writes) -> None:
-        """Consume the batch's complete windows, replaying whole batches
-        from the batch-level memo when possible.
-
-        The memo signature is translation-invariant: the raw static
-        indices and access-count tuples pin every item's dependence
-        arity, the cell-to-cell deltas plus one read-to-write stream
-        offset pin the alias pattern up to translation, and the carry
-        components (the still-unconsumed window tail this batch's
-        windows reach back into) pin the cross-batch boundary. Equal
-        signatures therefore imply identical per-state window-CP
-        sequences. Keeping the signature on the *raw* batch arrays means
-        a hit never materializes composite keys or numpy arrays at all.
-        """
-        if (any((a & 7) + w > 8 for a, w in reads)
-                or any((a & 7) + w > 8 for a, w in writes)):
-            self._window_batch_spanning(ti, count, read_ends, write_ends,
-                                        reads, writes)
+    def _consume_windows(self, final: bool = False) -> None:
+        """Advance every window state over the buffered items: each
+        complete window, plus (``final``) the trailing partial window,
+        becomes one wavefront row; then drop the items no later window
+        reaches."""
+        self._wfresh = 0
+        if not self._wchunks:
             return
-        rcells = [a >> 3 for a, _ in reads]
-        wcells = [a >> 3 for a, _ in writes]
-        rdelta = self._cell_deltas(rcells, self._prev_rcell)
-        wdelta = self._cell_deltas(wcells, self._prev_wcell)
-
-        start_min = min(st.next_start for st in self._wstates)
-        ka = start_min - self._key_base
-        crlo = (self._rends[ka - 1] if ka else self._rc_base) - self._rc_base
-        cwlo = (self._wends[ka - 1] if ka else self._wc_base) - self._wc_base
-        ncr = len(self._rcells) - crlo
-        ncw = len(self._wcells) - cwlo
-        # first cell of each stream over carry + batch, for the offset
-        if ncr:
-            first_r = self._rcells[crlo]
-        elif rcells:
-            first_r = rcells[0]
-        else:
-            first_r = None
-        if ncw:
-            first_w = self._wcells[cwlo]
-        elif wcells:
-            first_w = wcells[0]
-        else:
-            first_w = None
-        cross = (first_w - first_r
-                 if first_r is not None and first_w is not None else None)
-        # batch delta [0] links the batch to the carry's last cell; when
-        # the carry stream is empty it links to a pre-carry cell no
-        # window can see, so it is dropped (the batch's first cell then
-        # *is* the stream's translation base)
-        sig = (
-            tuple(self._keys[ka:]),
-            tuple(st.next_start - start_min for st in self._wstates),
-            tuple(self._rdeltas[crlo + 1:]),
-            tuple(self._wdeltas[cwlo + 1:]),
-            ti,
-            tuple(read_ends),
-            tuple(write_ends),
-            tuple(rdelta if ncr else rdelta[1:]),
-            tuple(wdelta if ncw else wdelta[1:]),
-            cross,
-        )
-
-        item_base = self._key_base + len(self._keys)
-        rtot = self._rc_base + len(self._rcells)
-        wtot = self._wc_base + len(self._wcells)
-        replay = self._batch_memo.get(sig)
-        if replay is not None:
-            self.batch_memo_hits += 1
-            self._apply_replay(replay)
-            min_next = min(st.next_start for st in self._wstates)
-            skip = min_next - item_base
-            if skip >= 0:
-                # every pre-batch item was consumed: rebuild the rolling
-                # buffers as exactly the unconsumed batch tail (extending
-                # with the full batch only to trim it later would touch
-                # ~50x more items than the tail holds)
-                pr = read_ends[skip - 1] if skip else 0
-                pw = write_ends[skip - 1] if skip else 0
-                keys = []
-                kap = keys.append
-                r0 = pr
-                w0 = pw
-                for p in range(skip, count):
-                    r1 = read_ends[p]
-                    w1 = write_ends[p]
-                    kap((ti[p] << _IDX_SHIFT) | ((r1 - r0) << _RC_SHIFT)
-                        | (w1 - w0))
-                    r0 = r1
-                    w0 = w1
-                self._keys = keys
-                self._rends = [rtot + r for r in read_ends[skip:]]
-                self._wends = [wtot + w for w in write_ends[skip:]]
-                self._rcells = rcells[pr:]
-                self._rdeltas = rdelta[pr:]
-                self._wcells = wcells[pw:]
-                self._wdeltas = wdelta[pw:]
-                self._key_base = min_next
-                self._rc_base = rtot + pr
-                self._wc_base = wtot + pw
-                if rcells:
-                    self._prev_rcell = rcells[-1]
-                if wcells:
-                    self._prev_wcell = wcells[-1]
-                return
-            self._extend_buffers(ti, count, read_ends, write_ends,
-                                 rcells, wcells, rdelta, wdelta)
-            self._trim()
-            return
-
-        self.batch_memo_misses += 1
-        self._extend_buffers(ti, count, read_ends, write_ends,
-                             rcells, wcells, rdelta, wdelta)
-        recorded = self._consume_windows()
-        if len(self._batch_memo) >= 256:
-            self._batch_memo.clear()
-        self._batch_memo[sig] = recorded
-        self._trim()
-
-    def _apply_replay(self, replay) -> None:
-        """Apply a batch-memo replay record to every window state."""
-        for st, (cps, total, mx, mn) in zip(self._wstates, replay):
-            n = len(cps)
-            if n:
-                res = st.result
-                res.count += n
-                res.total_cp += total
-                if mx > res.max_cp:
-                    res.max_cp = mx
-                if res.min_cp == 0 or mn < res.min_cp:
-                    res.min_cp = mn
-                if st.keep_cps:
-                    res.cps.extend(cps)
-                st.next_start += n * st.slide
-
-    def _window_events(self, summaries, events, indices, read_ends,
-                       write_ends, reads, writes, count, spanning) -> None:
-        """Event-stream twin of :meth:`_window_batch`: advance the window
-        states over one block-summary flush. Per-item keys and cell ends
-        come from the summaries' precomputed templates, so a memo hit
-        never materializes per-retirement items at all, and a miss emits
-        them wholesale (``_emit_items``) instead of item by item."""
-        if spanning:
-            # cell counts differ from access counts, so the summary key
-            # templates are invalid: expand to SoA and take the exact
-            # numpy spanning path
-            ti, re_, we_ = _events_to_soa(summaries, events, indices,
-                                          read_ends, write_ends)
-            self._window_batch_spanning(tuple(ti), count, re_, we_,
-                                        reads, writes)
-            return
-        rcells = [a >> 3 for a, _ in reads]
-        wcells = [a >> 3 for a, _ in writes]
-        rdelta = self._cell_deltas(rcells, self._prev_rcell)
-        wdelta = self._cell_deltas(wcells, self._prev_wcell)
-
-        start_min = min(st.next_start for st in self._wstates)
-        ka = start_min - self._key_base
-        crlo = (self._rends[ka - 1] if ka else self._rc_base) - self._rc_base
-        cwlo = (self._wends[ka - 1] if ka else self._wc_base) - self._wc_base
-        ncr = len(self._rcells) - crlo
-        ncw = len(self._wcells) - cwlo
-        if ncr:
-            first_r = self._rcells[crlo]
-        elif rcells:
-            first_r = rcells[0]
-        else:
-            first_r = None
-        if ncw:
-            first_w = self._wcells[cwlo]
-        elif wcells:
-            first_w = wcells[0]
-        else:
-            first_w = None
-        cross = (first_w - first_r
-                 if first_r is not None and first_w is not None else None)
-        # same translation-invariance argument as the batch signature;
-        # the event list replaces the per-item index/end tuples for the
-        # block-run portion of the flush (11 components vs the batch
-        # path's 10, so the two families can never collide in the memo)
-        sig = (
-            tuple(self._keys[ka:]),
-            tuple(st.next_start - start_min for st in self._wstates),
-            tuple(self._rdeltas[crlo + 1:]),
-            tuple(self._wdeltas[cwlo + 1:]),
-            tuple(events),
-            tuple(indices),
-            tuple(read_ends),
-            tuple(write_ends),
-            tuple(rdelta if ncr else rdelta[1:]),
-            tuple(wdelta if ncw else wdelta[1:]),
-            cross,
-        )
-
-        item_base = self._key_base + len(self._keys)
-        rtot = self._rc_base + len(self._rcells)
-        wtot = self._wc_base + len(self._wcells)
-        replay = self._batch_memo.get(sig)
-        if replay is not None:
-            self.batch_memo_hits += 1
-            self._apply_replay(replay)
-            min_next = min(st.next_start for st in self._wstates)
-            skip = min_next - item_base
-            if skip >= 0:
-                keys, rends, wends, pr, pw = self._emit_items(
-                    summaries, events, indices, read_ends, write_ends,
-                    skip, rtot, wtot)
-                self._keys = keys
-                self._rends = rends
-                self._wends = wends
-                self._rcells = rcells[pr:]
-                self._rdeltas = rdelta[pr:]
-                self._wcells = wcells[pw:]
-                self._wdeltas = wdelta[pw:]
-                self._key_base = min_next
-                self._rc_base = rtot + pr
-                self._wc_base = wtot + pw
-                if rcells:
-                    self._prev_rcell = rcells[-1]
-                if wcells:
-                    self._prev_wcell = wcells[-1]
-                return
-            self._extend_from_events(summaries, events, indices,
-                                     read_ends, write_ends, rcells,
-                                     wcells, rdelta, wdelta, rtot, wtot)
-            self._trim()
-            return
-
-        self.batch_memo_misses += 1
-        self._extend_from_events(summaries, events, indices, read_ends,
-                                 write_ends, rcells, wcells, rdelta,
-                                 wdelta, rtot, wtot)
-        recorded = self._consume_windows()
-        if len(self._batch_memo) >= 256:
-            self._batch_memo.clear()
-        self._batch_memo[sig] = recorded
-        self._trim()
-
-    def _emit_items(self, summaries, events, indices, read_ends,
-                    write_ends, skip, rtot, wtot):
-        """Composite keys and global cell ends for flush items
-        ``[skip, count)``; returns ``(keys, rends, wends, pr, pw)`` where
-        ``pr``/``pw`` are the flush-local access counts at item ``skip``.
-        Valid only for non-spanning flushes (cell count == access
-        count). Block runs emit whole key templates per execution; the
-        end lists use one vectorized outer add per long run."""
-        keys: list = []
-        rends: list = []
-        wends: list = []
-        pos = 0
-        racc = 0
-        wacc = 0
-        si = 0
-        pr = pw = None
-        for i in range(0, len(events), 2):
-            bid = events[i]
-            k = events[i + 1]
-            if bid >= 0:
-                s = summaries[bid]
-                L = s.length
-                R = s.n_reads
-                W = s.n_writes
-                items = k * L
-                if pos + items <= skip:
-                    pos += items
-                    racc += k * R
-                    wacc += k * W
-                    continue
-                q, rem = divmod(skip - pos if skip > pos else 0, L)
-                if pr is None:
-                    pr = racc + q * R + (s.rends_rel[rem - 1] if rem else 0)
-                    pw = wacc + q * W + (s.wends_rel[rem - 1] if rem else 0)
-                if rem:
-                    # straddled execution: emit its tail item by item
-                    keys.extend(s.keys[rem:])
-                    br = rtot + racc + q * R
-                    bw = wtot + wacc + q * W
-                    rends.extend([br + e for e in s.rends_rel[rem:]])
-                    wends.extend([bw + e for e in s.wends_rel[rem:]])
-                    q += 1
-                nk = k - q
-                if nk:
-                    keys.extend(s.keys * nk)
-                    if R == 0:
-                        rends.extend([rtot + racc] * (nk * L))
-                    elif nk * L >= 64:
-                        offs = (rtot + racc
-                                + np.arange(q, k, dtype=np.int64) * R)
-                        rends.extend(
-                            (offs[:, None] + s.rends_np).ravel().tolist())
-                    else:
-                        rex = rends.extend
-                        srel = s.rends_rel
-                        b = rtot + racc + q * R
-                        for _ in range(nk):
-                            rex([b + e for e in srel])
-                            b += R
-                    if W == 0:
-                        wends.extend([wtot + wacc] * (nk * L))
-                    elif nk * L >= 64:
-                        offs = (wtot + wacc
-                                + np.arange(q, k, dtype=np.int64) * W)
-                        wends.extend(
-                            (offs[:, None] + s.wends_np).ravel().tolist())
-                    else:
-                        wex = wends.extend
-                        srel = s.wends_rel
-                        b = wtot + wacc + q * W
-                        for _ in range(nk):
-                            wex([b + e for e in srel])
-                            b += W
-                pos += items
-                racc += k * R
-                wacc += k * W
-            else:
-                sj = si + k
-                if pos + k <= skip:
-                    si = sj
-                    pos += k
-                    racc = read_ends[sj - 1]
-                    wacc = write_ends[sj - 1]
-                    continue
-                lo = si + (skip - pos if skip > pos else 0)
-                r0 = read_ends[lo - 1] if lo > si else racc
-                w0 = write_ends[lo - 1] if lo > si else wacc
-                if pr is None:
-                    pr = r0
-                    pw = w0
-                kap = keys.append
-                rap = rends.append
-                wap = wends.append
-                for p in range(lo, sj):
-                    r1 = read_ends[p]
-                    w1 = write_ends[p]
-                    kap((indices[p] << _IDX_SHIFT)
-                        | ((r1 - r0) << _RC_SHIFT) | (w1 - w0))
-                    rap(rtot + r1)
-                    wap(wtot + w1)
-                    r0 = r1
-                    w0 = w1
-                si = sj
-                pos += k
-                racc = read_ends[sj - 1]
-                wacc = write_ends[sj - 1]
-        if pr is None:
-            pr = racc
-            pw = wacc
-        return keys, rends, wends, pr, pw
-
-    def _extend_from_events(self, summaries, events, indices, read_ends,
-                            write_ends, rcells, wcells, rdelta, wdelta,
-                            rtot, wtot) -> None:
-        keys, rends, wends, _pr, _pw = self._emit_items(
-            summaries, events, indices, read_ends, write_ends, 0,
-            rtot, wtot)
-        self._keys.extend(keys)
-        self._rends.extend(rends)
-        self._wends.extend(wends)
-        if rcells:
-            self._prev_rcell = rcells[-1]
-            self._rcells.extend(rcells)
-            self._rdeltas.extend(rdelta)
-        if wcells:
-            self._prev_wcell = wcells[-1]
-            self._wcells.extend(wcells)
-            self._wdeltas.extend(wdelta)
-
-    def _window_batch_spanning(self, ti, count, read_ends, write_ends,
-                               reads, writes) -> None:
-        """Rare path: some access in the batch spans an 8-byte-cell
-        boundary, so post-expansion cell counts differ from the raw
-        access counts and the raw-array signature no longer determines
-        the composite keys. Expand via numpy and consume windows
-        directly, bypassing the batch memo."""
-        self._extend_spanning(ti, count, read_ends, write_ends,
-                              reads, writes)
-        self._consume_windows()
-        self._trim()
-
-    def _window_extend_relative(self, ti, count, read_ends, write_ends,
-                                reads, writes) -> None:
-        """Relative engines only buffer window items — windows are
-        consumed after the state is merged onto an absolute prefix, when
-        the items reaching back across the boundary are known."""
-        if (any((a & 7) + z > 8 for a, z in reads)
-                or any((a & 7) + z > 8 for a, z in writes)):
-            self._extend_spanning(ti, count, read_ends, write_ends,
-                                  reads, writes)
-            return
-        rcells = [a >> 3 for a, _ in reads]
-        wcells = [a >> 3 for a, _ in writes]
-        rdelta = self._cell_deltas(rcells, self._prev_rcell)
-        wdelta = self._cell_deltas(wcells, self._prev_wcell)
-        self._extend_buffers(ti, count, read_ends, write_ends,
-                             rcells, wcells, rdelta, wdelta)
-
-    def _extend_spanning(self, ti, count, read_ends, write_ends,
-                         reads, writes) -> None:
-        rend = np.fromiter(read_ends, np.int64, count)
-        wend = np.fromiter(write_ends, np.int64, count)
-        rc_a, rends_items = self._expand_cells(reads, read_ends[count - 1],
-                                               rend)
-        wc_a, wends_items = self._expand_cells(writes, write_ends[count - 1],
-                                               wend)
-        idx_arr = np.fromiter(ti, np.int64, count)
-        keys = ((idx_arr << _IDX_SHIFT)
-                | (np.diff(rends_items, prepend=0) << _RC_SHIFT)
-                | np.diff(wends_items, prepend=0)).tolist()
-        rcells = rc_a.tolist()
-        wcells = wc_a.tolist()
-        rdelta = self._cell_deltas(rcells, self._prev_rcell)
-        wdelta = self._cell_deltas(wcells, self._prev_wcell)
-        rtot = self._rc_base + len(self._rcells)
-        wtot = self._wc_base + len(self._wcells)
-        self._keys.extend(keys)
-        self._rends.extend((rends_items + rtot).tolist())
-        self._wends.extend((wends_items + wtot).tolist())
-        if rcells:
-            self._prev_rcell = rcells[-1]
-            self._rcells.extend(rcells)
-            self._rdeltas.extend(rdelta)
-        if wcells:
-            self._prev_wcell = wcells[-1]
-            self._wcells.extend(wcells)
-            self._wdeltas.extend(wdelta)
-
-    def _extend_buffers(self, ti, count, read_ends, write_ends,
-                        rcells, wcells, rdelta, wdelta) -> None:
-        rtot = self._rc_base + len(self._rcells)
-        wtot = self._wc_base + len(self._wcells)
-        keys = self._keys
-        kap = keys.append
-        r0 = 0
-        w0 = 0
-        for p in range(count):
-            r1 = read_ends[p]
-            w1 = write_ends[p]
-            kap((ti[p] << _IDX_SHIFT) | ((r1 - r0) << _RC_SHIFT) | (w1 - w0))
-            r0 = r1
-            w0 = w1
-        self._rends.extend([rtot + r for r in read_ends])
-        self._wends.extend([wtot + w for w in write_ends])
-        if rcells:
-            self._prev_rcell = rcells[-1]
-            self._rcells.extend(rcells)
-            self._rdeltas.extend(rdelta)
-        if wcells:
-            self._prev_wcell = wcells[-1]
-            self._wcells.extend(wcells)
-            self._wdeltas.extend(wdelta)
-
-    def _consume_windows(self) -> list:
-        """Advance every window state over the buffered items, returning
-        the per-state ``(cps, sum, max, min)`` replay records."""
-        total_items = self._key_base + len(self._keys)
-        recorded = []
+        if len(self._wchunks) > 1:
+            self._wchunks = [tuple(
+                np.concatenate(parts, axis=axis)
+                for parts, axis in zip(zip(*self._wchunks), (1, 0, 0)))]
+        items, reads, writes = self._wchunks[0]
+        base = self._wbase
+        total = base + self._wcount
+        starts = []
+        lens = []
         for st in self._wstates:
             size = st.size
-            slide = st.slide
-            res = st.result
-            keep = st.keep_cps
-            cps = []
-            while st.next_start + size <= total_items:
-                cp = self._window_cp_memo(st.next_start, size)
-                cps.append(cp)
-                res.count += 1
-                res.total_cp += cp
-                if cp > res.max_cp:
-                    res.max_cp = cp
-                if res.min_cp == 0 or cp < res.min_cp:
-                    res.min_cp = cp
-                if keep:
-                    res.cps.append(cp)
-                st.next_start += slide
-            recorded.append((tuple(cps), sum(cps),
-                             max(cps, default=0), min(cps, default=0)))
-        return recorded
+            first = st.next_start
+            c = (total - first - size) // st.slide + 1 if (
+                total - first >= size) else 0
+            st.next_start = first + c * st.slide
+            begin = np.arange(c, dtype=np.int64) * st.slide + (first - base)
+            length = np.full(c, size, dtype=np.int64)
+            if final and st.next_start < total:
+                begin = np.append(begin, st.next_start - base)
+                length = np.append(length, total - st.next_start)
+                st.next_start = total
+            starts.append(begin)
+            lens.append(length)
+        counts = [len(x) for x in starts]
+        if sum(counts):
+            starts = np.concatenate(starts)
+            lens = np.concatenate(lens)
+            order = np.argsort(-lens, kind="stable")
+            deltas = _producer_deltas(items, reads, writes,
+                                      self._static_tables(),
+                                      int(lens[order[0]]))
+            cps = np.empty(len(order), dtype=np.int64)
+            cps[order] = _wavefront(deltas, starts[order], lens[order])
+            lo = 0
+            for st, c in zip(self._wstates, counts):
+                if c:
+                    self._record_cps(st, cps[lo:lo + c])
+                lo += c
+        # keep only the items a later window can still reach
+        drop = min(st.next_start for st in self._wstates) - base
+        if drop:
+            rk = int(items[1, :drop].sum())
+            wk = int(items[2, :drop].sum())
+            self._wchunks = [(items[:, drop:].copy(), reads[rk:].copy(),
+                              writes[wk:].copy())]
+            self._wbase += drop
+            self._wcount -= drop
 
-    def _window_cp_memo(self, start: int, size: int) -> int:
-        ka = start - self._key_base
-        kb = ka + size
-        rends = self._rends
-        wends = self._wends
-        rlo = (rends[ka - 1] if ka else self._rc_base) - self._rc_base
-        rhi = rends[kb - 1] - self._rc_base
-        wlo = (wends[ka - 1] if ka else self._wc_base) - self._wc_base
-        whi = wends[kb - 1] - self._wc_base
-        # a window's CP is invariant under translating all its cells; the
-        # key captures the item sequence, each cell stream's internal
-        # deltas, and the read-to-write stream offset
-        if rhi > rlo and whi > wlo:
-            cross = self._wcells[wlo] - self._rcells[rlo]
-        else:
-            cross = None
-        key = (tuple(self._keys[ka:kb]),
-               tuple(self._rdeltas[rlo + 1: rhi]),
-               tuple(self._wdeltas[wlo + 1: whi]),
-               cross)
-        cp = self._memo.get(key)
-        if cp is not None:
-            self.memo_hits += 1
-            return cp
-        self.memo_misses += 1
-        cp = self._window_cp(ka, kb, rlo, wlo)
-        if self._memo_items < _MEMO_MAX_ITEMS:
-            self._memo[key] = cp
-            self._memo_items += size
-        return cp
+    @staticmethod
+    def _record_cps(st: "_WState", cps) -> None:
+        res = st.result
+        res.count += len(cps)
+        res.total_cp += int(cps.sum())
+        mx = int(cps.max())
+        mn = int(cps.min())
+        if mx > res.max_cp:
+            res.max_cp = mx
+        if res.min_cp == 0 or mn < res.min_cp:
+            res.min_cp = mn
+        if st.keep_cps:
+            res.cps.extend(cps.tolist())
 
-    def _window_cp(self, ka: int, kb: int, rlo: int, wlo: int) -> int:
-        """Direct window CP from the rolling buffers (memo misses and the
-        final partial window). Matches ``window_critical_path`` on the
-        legacy probe's (srcs + cells, dsts + cells) items exactly."""
-        depth: dict[int, int] = {}
-        get = depth.get
-        keys = self._keys
-        srcs_t = self._srcs
-        dsts_t = self._dsts
-        rcells = self._rcells
-        wcells = self._wcells
-        r = rlo
-        w = wlo
-        best = 0
-        for p in range(ka, kb):
-            k = keys[p]
-            idx = k >> _IDX_SHIFT
-            d = 0
-            for s in srcs_t[idx]:
-                v = get(s, 0)
-                if v > d:
-                    d = v
-            for _ in range((k >> _RC_SHIFT) & _CNT_MASK):
-                v = get(_MEM_BASE + rcells[r], 0)
-                r += 1
-                if v > d:
-                    d = v
-            d += 1
-            for t in dsts_t[idx]:
-                depth[t] = d
-            for _ in range(k & _CNT_MASK):
-                depth[_MEM_BASE + wcells[w]] = d
-                w += 1
-            if d > best:
-                best = d
-        return best
-
-    def _trim(self) -> None:
-        """Drop buffer prefixes no window can reach anymore."""
-        needed = min(st.next_start for st in self._wstates)
-        drop = needed - self._key_base
-        if drop < 4096:
-            return
-        new_rc = self._rends[drop - 1]
-        new_wc = self._wends[drop - 1]
-        del self._keys[:drop]
-        del self._rends[:drop]
-        del self._wends[:drop]
-        rdrop = new_rc - self._rc_base
-        wdrop = new_wc - self._wc_base
-        del self._rcells[:rdrop]
-        del self._rdeltas[:rdrop]
-        del self._wcells[:wdrop]
-        del self._wdeltas[:wdrop]
-        self._key_base = needed
-        self._rc_base = new_rc
-        self._wc_base = new_wc
+    def _static_tables(self):
+        """Padded numpy ``(srcs, dsts)`` tables by static index (-1 pads),
+        rebuilt when the static table has grown."""
+        n = len(self._srcs)
+        if self._wtables is None or len(self._wtables[0]) != n:
+            self._wtables = tuple(
+                _pad_rows(rows) for rows in (self._srcs, self._dsts))
+        return self._wtables
 
     # -- result assembly -------------------------------------------------
 
@@ -1427,28 +1040,8 @@ class FusedAnalysisEngine:
         self._flatten_counts()
         windowed = None
         if self._wstates:
-            windowed = {}
-            total_items = self._key_base + len(self._keys)
-            for st in self._wstates:
-                if st.next_start < total_items:
-                    ka = st.next_start - self._key_base
-                    rlo = ((self._rends[ka - 1] if ka else self._rc_base)
-                           - self._rc_base)
-                    wlo = ((self._wends[ka - 1] if ka else self._wc_base)
-                           - self._wc_base)
-                    cp = self._window_cp(ka, total_items - self._key_base,
-                                         rlo, wlo)
-                    res = st.result
-                    res.count += 1
-                    res.total_cp += cp
-                    if cp > res.max_cp:
-                        res.max_cp = cp
-                    if res.min_cp == 0 or cp < res.min_cp:
-                        res.min_cp = cp
-                    if st.keep_cps:
-                        res.cps.append(cp)
-                    st.next_start = total_items
-                windowed[st.size] = st.result
+            self._consume_windows(final=True)
+            windowed = {st.size: st.result for st in self._wstates}
 
         per_region: dict[str, int] = {}
         by_mnemonic: dict[str, int] = {}
@@ -1508,9 +1101,11 @@ class FusedAnalysisEngine:
 
     def clone(self) -> "FusedAnalysisEngine":
         """Independent copy of this engine's accumulated state. Pure
-        caches (the window-CP and batch memos, the bincount cache, the
-        summaries' stitch functions) are shared by reference — they are
-        deterministic functions of their keys, so sharing is safe."""
+        caches (the bincount cache, the padded static tables, the
+        summaries' stitch functions) and the buffered window chunks are
+        shared by reference — caches are deterministic functions of
+        their keys and chunks are never modified in place, so sharing
+        is safe."""
         self._freeze()
         new = FusedAnalysisEngine.__new__(FusedAnalysisEngine)
         new.__dict__.update(self.__dict__)
@@ -1527,13 +1122,7 @@ class FusedAnalysisEngine:
         new._dsts = list(self._dsts)
         new._meta = list(self._meta)
         new._wstates = [st.copy() for st in self._wstates]
-        new._keys = list(self._keys)
-        new._rcells = list(self._rcells)
-        new._rdeltas = list(self._rdeltas)
-        new._wcells = list(self._wcells)
-        new._wdeltas = list(self._wdeltas)
-        new._rends = list(self._rends)
-        new._wends = list(self._wends)
+        new._wchunks = list(self._wchunks)
         return new
 
     def absorb(self, other: "FusedAnalysisEngine") -> None:
@@ -1646,34 +1235,17 @@ class FusedAnalysisEngine:
                 self._best_s = bs
 
         # windows: the suffix's buffered items continue this engine's
-        # item stream; shift its cell ends by our totals and re-link the
-        # first cell delta across the boundary
-        if self._wstates:
-            base_r = self._rc_base + len(self._rcells)
-            base_w = self._wc_base + len(self._wcells)
-            if remap is None:
-                self._keys.extend(other._keys)
-            else:
-                # item keys carry the static index in their high bits
-                mask = (1 << _IDX_SHIFT) - 1
-                self._keys.extend(
-                    (remap[k >> _IDX_SHIFT] << _IDX_SHIFT) | (k & mask)
-                    for k in other._keys)
-            self._rends.extend([base_r + e for e in other._rends])
-            self._wends.extend([base_w + e for e in other._wends])
-            if other._rcells:
-                self._rdeltas.append(other._rcells[0] - self._prev_rcell)
-                self._rdeltas.extend(other._rdeltas[1:])
-                self._rcells.extend(other._rcells)
-                self._prev_rcell = other._rcells[-1]
-            if other._wcells:
-                self._wdeltas.append(other._wcells[0] - self._prev_wcell)
-                self._wdeltas.extend(other._wdeltas[1:])
-                self._wcells.extend(other._wcells)
-                self._prev_wcell = other._wcells[-1]
-            if not rel:
+        # item stream (the relative side never consumes a window)
+        if self._wstates and other._wcount:
+            for items, reads, writes in other._wchunks:
+                if remap is not None:
+                    items = items.copy()
+                    items[0] = np.asarray(remap, dtype=np.int64)[items[0]]
+                self._wchunks.append((items, reads, writes))
+            self._wcount += other._wcount
+            self._wfresh += other._wcount
+            if not rel and self._wfresh >= _CONSUME_ITEMS:
                 self._consume_windows()
-                self._trim()
 
     def _rebase(self, other: "FusedAnalysisEngine") -> list[int]:
         """Map ``other``'s static indices onto this engine's table.
@@ -1759,18 +1331,10 @@ class FusedAnalysisEngine:
                  st.result.max_cp, st.result.min_cp, list(st.result.cps))
                 for st in self._wstates
             ],
-            "keys": list(self._keys),
-            "key_base": self._key_base,
-            "rcells": list(self._rcells),
-            "rdeltas": list(self._rdeltas),
-            "wcells": list(self._wcells),
-            "wdeltas": list(self._wdeltas),
-            "rends": list(self._rends),
-            "wends": list(self._wends),
-            "rc_base": self._rc_base,
-            "wc_base": self._wc_base,
-            "prev_rcell": self._prev_rcell,
-            "prev_wcell": self._prev_wcell,
+            "wbase": self._wbase,
+            "witems": [c[0].ravel().tolist() for c in self._wchunks],
+            "wreads": [c[1].ravel().tolist() for c in self._wchunks],
+            "wwrites": [c[2].ravel().tolist() for c in self._wchunks],
         }
 
     def load_state_doc(self, doc: dict) -> None:
@@ -1793,7 +1357,7 @@ class FusedAnalysisEngine:
         if ([tuple(w) for w in doc["windows"]]
                 != [(st.size, st.slide) for st in self._wstates]):
             raise ValueError("window configuration mismatch")
-        if self._total or self._keys or len(self._counts):
+        if self._total or self._wchunks or len(self._counts):
             raise ValueError("can only load state into a fresh engine")
         self._table = [_InstMeta(*t) for t in doc["table"]]
         self._srcs = []
@@ -1814,18 +1378,14 @@ class FusedAnalysisEngine:
             st.result = WindowedCPResult(
                 window_size=st.size, count=count, total_cp=total_cp,
                 max_cp=max_cp, min_cp=min_cp, cps=list(cps))
-        self._keys = list(doc["keys"])
-        self._key_base = doc["key_base"]
-        self._rcells = list(doc["rcells"])
-        self._rdeltas = list(doc["rdeltas"])
-        self._wcells = list(doc["wcells"])
-        self._wdeltas = list(doc["wdeltas"])
-        self._rends = list(doc["rends"])
-        self._wends = list(doc["wends"])
-        self._rc_base = doc["rc_base"]
-        self._wc_base = doc["wc_base"]
-        self._prev_rcell = doc["prev_rcell"]
-        self._prev_wcell = doc["prev_wcell"]
+        self._wbase = doc["wbase"]
+        self._wchunks = [
+            (np.asarray(items, dtype=np.int64).reshape(3, -1),
+             np.asarray(reads, dtype=np.int64).reshape(-1, 2),
+             np.asarray(writes, dtype=np.int64).reshape(-1, 2))
+            for items, reads, writes in zip(doc["witems"], doc["wreads"],
+                                            doc["wwrites"])]
+        self._wcount = sum(c[0].shape[1] for c in self._wchunks)
 
 
 class AnalysisState:

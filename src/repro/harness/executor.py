@@ -50,13 +50,13 @@ parallel path is bit-identical to the serial one by construction.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import random
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
+from repro.common import available_cpus
 from repro.common.errors import ExperimentError, ReproError
 from repro.harness import faults
 from repro.harness.cache import BlockStore, ResultCache, TraceStore
@@ -584,7 +584,7 @@ class Executor:
             else:
                 todo.append(plan)
         # one worker per CPU by default, never more than there is work
-        jobs = self.jobs or min(os.cpu_count() or 1, max(1, len(todo)))
+        jobs = self.jobs or min(available_cpus(), max(1, len(todo)))
         self.events.emit(SuiteStarted(
             total=total, jobs=jobs, cached=len(results)))
 

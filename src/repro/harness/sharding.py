@@ -42,11 +42,10 @@ cannot fork) the in-process path is chosen automatically.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass
 
-from repro.common import BudgetExhausted, SimulationError
+from repro.common import BudgetExhausted, SimulationError, available_cpus
 from repro.common.errors import ExperimentError
 from repro.harness import faults
 from repro.isa import get_isa
@@ -85,7 +84,7 @@ def resolve_shards(shards: int, cores: int | None = None) -> int:
     if shards < 0:
         raise ExperimentError(f"shards must be >= 0, got {shards}")
     if shards == 0:
-        cores = cores if cores is not None else (os.cpu_count() or 1)
+        cores = cores if cores is not None else available_cpus()
         return max(1, min(cores, MAX_AUTO_SHARDS))
     return shards
 
@@ -406,7 +405,7 @@ def run_sharded_config(workload, isa: str, profile: str, compiled, cfg,
         (parallel if parallel is not None else True)
         and n_slices > 1
         and trace_writer is None
-        and (os.cpu_count() or 1) > 1
+        and available_cpus() > 1
         and not multiprocessing.current_process().daemon
     )
     stats = ShardRunStats(

@@ -85,12 +85,10 @@ class RunResult:
 
 _EMPTY: tuple = ()
 
-#: Default retirement-batch size for ``run_batched``. Large enough that
-#: per-batch numpy/flush overhead amortizes, small enough that the batch
-#: buffers stay cache-resident and that steady loops repeat whole batches
-#: often (the fused engine's batch-level window memo keys on exact batch
-#: repetition, so shorter batches repeat sooner and hit more).
-DEFAULT_BATCH_SIZE = 1024
+#: Retirement-batch size for ``run_batched`` (every sink gets the same
+#: flushes). Large enough that per-flush numpy/dispatch overhead
+#: amortizes; a windowed matrix pass costs the same at 1024 and 4096.
+DEFAULT_BATCH_SIZE = 4096
 
 #: Probe-free budget accounting granularity: the inner loop runs up to
 #: this many instructions with the budget check hoisted out of it.
@@ -329,8 +327,7 @@ class EmulationCore:
     ) -> RunResult:
         """Run with retirements accumulated into structure-of-arrays
         buffers and flushed to ``sinks`` in batches of ``batch_size``
-        (``None`` honors the sinks' ``preferred_batch_size`` hints,
-        falling back to ``DEFAULT_BATCH_SIZE``).
+        (``None`` means ``DEFAULT_BATCH_SIZE``).
 
         This is the fast path behind the fused analysis engine: the hot
         loop does three list appends per retirement instead of one Python
@@ -356,13 +353,7 @@ class EmulationCore:
         max_instructions: int,
     ) -> RunResult:
         if batch_size is None:
-            prefs = [getattr(s, "preferred_batch_size", None)
-                     for s in sinks]
-            prefs = [p for p in prefs if p]
-            # the smallest preference wins: a sink that needs small
-            # flushes (windowed memo locality) must not be starved by a
-            # throughput-hungry neighbor
-            batch_size = min(prefs) if prefs else DEFAULT_BATCH_SIZE
+            batch_size = DEFAULT_BATCH_SIZE
         if self.translate:
             sinks = list(sinks)
             if sinks and all(getattr(s, "accepts_events", False)

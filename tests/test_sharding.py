@@ -11,13 +11,12 @@ the bytes the serial run did".
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
 from repro.analysis import AnalysisConfig
 from repro.common.errors import ExperimentError
-from repro.harness import faults
+from repro.harness import faults, sharding
 from repro.harness.events import EventBus, PlanShardStats
 from repro.harness.executor import Executor
 from repro.harness.experiments import (
@@ -109,7 +108,7 @@ class TestByteIdentity:
                                            monkeypatch):
         """Fork real shard workers (cpu gate bypassed): snapshot out,
         state doc back, rebase merge — still byte-identical."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(sharding, "available_cpus", lambda: 4)
         result, stats = run_sharded_config(
             WL, "rv64", "gcc12", compiled, CFG, model_for("rv64"),
             BUDGET, 2, checkpoint_interval=4096)
@@ -261,7 +260,7 @@ class TestShardFaultSite:
 
     def test_crash_once_recovers_by_retry(self, compiled, serial,
                                           monkeypatch, clean_faults):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(sharding, "available_cpus", lambda: 4)
         faults.install(FaultPlan(specs=[
             FaultSpec(site="shard", kind="crash", attempts=(1,)),
         ]))
@@ -275,7 +274,7 @@ class TestShardFaultSite:
                                                     clean_faults):
         """Every attempt ships a garbled snapshot (SnapshotError in the
         worker) — the slices fall back to in-process serial execution."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(sharding, "available_cpus", lambda: 4)
         faults.install(FaultPlan(specs=[
             FaultSpec(site="shard", kind="garble"),
         ]))
@@ -285,7 +284,7 @@ class TestShardFaultSite:
 
     def test_persistent_crash_falls_back(self, compiled, serial,
                                          monkeypatch, clean_faults):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(sharding, "available_cpus", lambda: 4)
         faults.install(FaultPlan(specs=[
             FaultSpec(site="shard", kind="crash"),
         ]))
@@ -295,7 +294,7 @@ class TestShardFaultSite:
 
     def test_injected_error_falls_back(self, compiled, serial,
                                        monkeypatch, clean_faults):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(sharding, "available_cpus", lambda: 4)
         faults.install(FaultPlan(specs=[
             FaultSpec(site="shard", kind="error"),
         ]))
